@@ -116,15 +116,28 @@ func (c *Cache) SetSecondTier(t SecondTier) {
 
 // Get returns the cached value for key, counting a hit or miss.
 func (c *Cache) Get(key string) (any, bool) {
+	v, ok := c.Peek(key)
+	if !ok {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Peek returns the resident value for key. A resident key counts one
+// hit and becomes the most recently used entry; an absent key counts
+// nothing, so a caller that falls back to GetOrCompute is charged
+// exactly one miss. Peek is memory-only: it never consults the second
+// tier and never joins or starts an in-flight computation.
+func (c *Cache) Peek(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.hits.Add(1)
-		c.lru.MoveToFront(el)
-		return el.Value.(*entry).val, true
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
 	}
-	c.misses.Add(1)
-	return nil, false
+	c.hits.Add(1)
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // Put stores a value under key, evicting the least-recently-used entry

@@ -55,6 +55,83 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+func TestPeekResidentCountsHitAndRefreshesLRU(t *testing.T) {
+	c := New(2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	v, ok := c.Peek("a") // a is now most recently used
+	if !ok || v.(int) != 1 {
+		t.Fatalf("Peek(a) = %v, %t; want 1, true", v, ok)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("stats after resident Peek = %+v; want 1 hit, 0 misses", s)
+	}
+	c.Put("c", 3)
+	if _, ok := c.Peek("b"); ok {
+		t.Fatal("b survived eviction although Peek moved a to the front")
+	}
+	if _, ok := c.Peek("a"); !ok {
+		t.Fatal("Peek did not refresh a's LRU position")
+	}
+	if s := c.Stats(); s.Hits != 2 || s.Misses != 0 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v; want 2 hits, 0 misses, 1 eviction", s)
+	}
+}
+
+func TestPeekAbsentCountsNothing(t *testing.T) {
+	c := New(0)
+	tier := newFakeTier()
+	tier.data["k"] = "on disk"
+	c.SetSecondTier(tier)
+	if v, ok := c.Peek("k"); ok {
+		t.Fatalf("Peek(k) on an empty memory tier = %v, true", v)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.DiskHits != 0 {
+		t.Fatalf("stats after absent Peek = %+v; want all zero", s)
+	}
+	if n := tier.gets.Load(); n != 0 {
+		t.Fatalf("Peek probed the second tier %d times, want 0", n)
+	}
+}
+
+func TestPeekNeverJoinsOrStartsInflight(t *testing.T) {
+	c := New(0)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, _, err := c.GetOrCompute("busy", func() (any, error) {
+			close(entered)
+			<-release
+			return "value", nil
+		}); err != nil {
+			t.Errorf("GetOrCompute: %v", err)
+		}
+	}()
+	<-entered
+	// The computation is parked; a Peek that joined it would block here.
+	if v, ok := c.Peek("busy"); ok {
+		t.Fatalf("Peek joined the in-flight computation: %v", v)
+	}
+	close(release)
+	<-done
+
+	// An absent Peek registers no singleflight slot: the next
+	// GetOrCompute is the one miss and runs compute itself.
+	c.Peek("idle")
+	computed := 0
+	if _, hit, err := c.GetOrCompute("idle", func() (any, error) { computed++; return 1, nil }); err != nil || hit {
+		t.Fatalf("GetOrCompute after absent Peek: hit=%t err=%v; want a computed miss", hit, err)
+	}
+	if computed != 1 {
+		t.Fatalf("compute ran %d times, want 1", computed)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 || s.Waits != 0 {
+		t.Fatalf("stats = %+v; want 0 hits, 2 misses, 0 waits", s)
+	}
+}
+
 func TestGetOrComputeSingleflight(t *testing.T) {
 	c := New(0)
 	const goroutines = 16

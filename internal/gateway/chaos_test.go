@@ -7,6 +7,7 @@ package gateway_test
 // requests.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -307,6 +308,31 @@ func TestGatewayBackendErrorForwardedVerbatim(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Gateway-Attempts"); got != "1" {
 		t.Errorf("X-Gateway-Attempts = %q, want 1 (4xx must not retry)", got)
+	}
+}
+
+// TestGatewayLargeBodyForwardedVerbatim proxies a backend answer far
+// larger than the transport's read buffer, repeatedly: the gateway
+// must read the whole body before it releases the attempt's context,
+// and relay every byte on the first attempt.
+func TestGatewayLargeBodyForwardedVerbatim(t *testing.T) {
+	stubs := []*stub{newStub("b0"), newStub("b1")}
+	gw, ts := newChaosGateway(t, stubs, nil)
+
+	big := stubs[0]
+	body := bodyOwnedBy(t, gw, big.url())
+	big.mode.Store("big")
+	for i := 0; i < 20; i++ {
+		code, raw, resp := postBody(t, ts.URL, "/v1/predict", body)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %.200s", i, code, raw)
+		}
+		if !bytes.Equal(raw, bigBody) {
+			t.Fatalf("request %d: body of %d bytes differs from the backend's %d", i, len(raw), len(bigBody))
+		}
+		if got := resp.Header.Get("X-Gateway-Attempts"); got != "1" {
+			t.Fatalf("request %d: X-Gateway-Attempts = %q, want 1", i, got)
+		}
 	}
 }
 

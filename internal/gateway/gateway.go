@@ -402,10 +402,10 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 			obs.String("backend", backend), obs.Int("attempt", attempts),
 			obs.Bool("reroute", drainRetried))
 		resp, err := g.attempt(attemptCtx, backend, r, body)
+		st.exit()
 		if err != nil {
 			asp.SetAttr(obs.String("err", err.Error()))
 			asp.End()
-			st.exit()
 			lastErr = err
 			// A dead inbound context means the client hung up or its
 			// deadline passed mid-attempt — that says nothing about the
@@ -415,42 +415,32 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 				break
 			}
 			g.metrics.transport.With(backend).Inc()
-			g.applyTransition(st, st.reportTransportFailure(g.cfg.FailThreshold))
-			g.cfg.Logger.WarnCtx(ctx, "proxy attempt failed",
-				obs.String("backend", backend), obs.String("err", err.Error()))
-			continue
-		}
-		// Read the whole response: retries and the draining check need
-		// it, and bodies here are small JSON documents.
-		respBody, readErr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		st.exit()
-		if readErr != nil {
-			asp.SetAttr(obs.String("err", readErr.Error()))
-			asp.End()
-			lastErr = fmt.Errorf("reading response from %s: %w", backend, readErr)
-			if ctx.Err() != nil {
-				break
+			// Only a failed exchange feeds the ejection state machine;
+			// a backend that answered but broke off its body is counted,
+			// not ejected.
+			if !errors.Is(err, errReadBody) {
+				g.applyTransition(st, st.reportTransportFailure(g.cfg.FailThreshold))
+				g.cfg.Logger.WarnCtx(ctx, "proxy attempt failed",
+					obs.String("backend", backend), obs.String("err", err.Error()))
 			}
-			g.metrics.transport.With(backend).Inc()
 			continue
 		}
-		g.metrics.record(backend, resp.StatusCode, time.Since(start))
-		asp.SetAttr(obs.Int("status", resp.StatusCode))
+		g.metrics.record(backend, resp.status, time.Since(start))
+		asp.SetAttr(obs.Int("status", resp.status))
 		asp.End()
 		// A replica that is shutting down answers 503 with the
 		// "draining" envelope; the request is re-routed to the next
 		// healthy replica exactly once. A second draining answer (or a
 		// 503 with any other meaning) is forwarded as-is.
-		if resp.StatusCode == http.StatusServiceUnavailable && !drainRetried &&
-			i+1 < len(candidates) && isDrainingEnvelope(respBody) {
+		if resp.status == http.StatusServiceUnavailable && !drainRetried &&
+			i+1 < len(candidates) && isDrainingEnvelope(resp.body) {
 			drainRetried = true
 			g.metrics.drainRetries.Inc()
 			g.cfg.Logger.InfoCtx(ctx, "re-routing draining 503",
 				obs.String("backend", backend))
 			continue
 		}
-		forwardResponse(w, resp, respBody, backend, attempts)
+		forwardResponse(w, resp, backend, attempts)
 		return
 	}
 	msg := "all proxy attempts failed"
@@ -466,8 +456,23 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	writeError(ctx, w, http.StatusServiceUnavailable, "no_backends", msg)
 }
 
-// attempt issues one proxied request to one backend.
-func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, body []byte) (*http.Response, error) {
+// backendReply is one backend's complete answer to a proxied request.
+type backendReply struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// errReadBody marks an attempt whose backend sent a status line but
+// whose body could not be read in full.
+var errReadBody = errors.New("reading response")
+
+// attempt issues one proxied request to one backend and reads the whole
+// response — retries and the draining check need it, and bodies here
+// are small JSON documents. The body is read before the per-attempt
+// context is cancelled: a body larger than the transport's buffer
+// would otherwise fail mid-read with "context canceled".
+func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, body []byte) (backendReply, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
 	u := backend + r.URL.Path
@@ -476,7 +481,7 @@ func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, 
 	}
 	req, err := http.NewRequestWithContext(ctx, r.Method, u, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return backendReply{}, err
 	}
 	copyProxyHeaders(req.Header, r.Header)
 	// The edge request id and the trace position propagate to the
@@ -489,11 +494,14 @@ func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, 
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		// The per-attempt context is released when this function
-		// returns; surface the cause, not the wrapper.
-		return nil, fmt.Errorf("proxy %s: %w", backend, err)
+		return backendReply{}, fmt.Errorf("proxy %s: %w", backend, err)
 	}
-	return resp, nil
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return backendReply{}, fmt.Errorf("%w from %s: %w", errReadBody, backend, err)
+	}
+	return backendReply{status: resp.StatusCode, header: resp.Header, body: respBody}, nil
 }
 
 // proxyHeaderAllowlist are the request headers forwarded to backends.
@@ -521,9 +529,9 @@ var hopHeaders = map[string]struct{}{
 // forwardResponse relays a backend response verbatim: status, headers
 // (minus hop-by-hop) and the exact body bytes, plus the gateway's own
 // X-Gateway-* debugging headers.
-func forwardResponse(w http.ResponseWriter, resp *http.Response, body []byte, backend string, attempts int) {
+func forwardResponse(w http.ResponseWriter, resp backendReply, backend string, attempts int) {
 	h := w.Header()
-	for k, vs := range resp.Header {
+	for k, vs := range resp.header {
 		if _, hop := hopHeaders[http.CanonicalHeaderKey(k)]; hop {
 			continue
 		}
@@ -531,8 +539,8 @@ func forwardResponse(w http.ResponseWriter, resp *http.Response, body []byte, ba
 	}
 	h.Set("X-Gateway-Backend", backend)
 	h.Set("X-Gateway-Attempts", strconv.Itoa(attempts))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	w.WriteHeader(resp.status)
+	_, _ = w.Write(resp.body)
 }
 
 // isDrainingEnvelope reports whether a 503 body is the server's

@@ -32,12 +32,25 @@ const (
 	badreqEnvelope = `{"error":{"code":"bad_request","message":"stub rejected it"}}`
 )
 
+// bigBody is the stub's "big" answer: a valid JSON document of 384 KiB,
+// far larger than the proxy transport's read buffer, with no repeating
+// period short enough to hide a dropped or reordered chunk.
+var bigBody = func() []byte {
+	const n = 384 << 10
+	b := make([]byte, 0, n+16)
+	b = append(b, `{"blob":"`...)
+	for i := 0; len(b) < n; i++ {
+		b = strconv.AppendInt(b, int64(i), 36)
+	}
+	return append(b, `"}`...)
+}()
+
 // stub is one fake backend with a switchable failure mode.
 type stub struct {
 	name string
 	ts   *httptest.Server
 
-	mode      atomic.Value // "ok" | "slow" | "hang" | "drain503" | "badreq"
+	mode      atomic.Value // "ok" | "slow" | "hang" | "drain503" | "badreq" | "big"
 	slowFor   atomic.Int64 // nanoseconds, for "slow"
 	healthyOK atomic.Bool  // /healthz answers 200 when true
 
@@ -86,6 +99,11 @@ func (s *stub) handle(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
 		fmt.Fprint(w, badreqEnvelope)
+		return
+	case "big":
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(bigBody)
 		return
 	}
 	// The response is a deterministic function of (backend, request

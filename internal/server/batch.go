@@ -72,13 +72,28 @@ type unitResult struct {
 	err error
 }
 
+// cacheKey is the unit's entry in the process-wide analysis cache.
+func (u predictUnit) cacheKey() string { return "srv\x00unit\x00" + u.key }
+
+// cachedUnit returns the unit's memoized result when it is resident in
+// memory. A warm unit has nothing left to coalesce, so the handler
+// serves it without entering the batcher; an absent unit counts no
+// cache miss here, leaving the batched GetOrCompute to count it.
+func (s *Server) cachedUnit(u predictUnit) (unitResult, bool) {
+	v, ok := s.cache.Peek(u.cacheKey())
+	if !ok {
+		return unitResult{}, false
+	}
+	return v.(unitResult), true
+}
+
 // runUnit computes one unit, memoized whole in the process-wide cache:
 // repeated identical requests reuse the exact same analysis and
 // estimator objects, which is what makes repeated responses
 // byte-identical. Concurrent misses on one key share a single
 // computation (the cache's singleflight).
 func (s *Server) runUnit(ctx context.Context, u predictUnit) unitResult {
-	v, _, err := s.cache.GetOrCompute("srv\x00unit\x00"+u.key, func() (any, error) {
+	v, _, err := s.cache.GetOrCompute(u.cacheKey(), func() (any, error) {
 		res := s.computeUnit(ctx, u)
 		if res.err != nil {
 			return nil, res.err
@@ -120,8 +135,9 @@ func (s *Server) computeUnit(ctx context.Context, u predictUnit) unitResult {
 	return unitResult{est: ev.(*core.Estimator), a: a}
 }
 
-// batcher coalesces concurrent predictions into bounded analysis
-// batches: the first job in an empty batch opens a short window, and
+// batcher coalesces concurrent predictions that miss the unit cache
+// into bounded analysis batches (warm units bypass it, see
+// cachedUnit): the first job in an empty batch opens a short window, and
 // the batch executes when the window lapses or MaxBatch jobs have
 // joined. One batch deduplicates jobs by unit key and fans the
 // distinct units out over the server's shared worker pool, so a burst

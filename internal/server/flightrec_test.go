@@ -98,6 +98,13 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range doc.TraceEvents {
+		if ev.Name == "srv.batch" {
+			// The warm request was served from the unit cache, not
+			// through the batch window.
+			if ev.Args["cache_hit"] != true {
+				t.Errorf("warm srv.batch cache_hit arg %v, want true", ev.Args["cache_hit"])
+			}
+		}
 		if ev.Name == "srv.predict" {
 			if ev.Args["trace_id"] != "11111111111111111111111111111111" {
 				t.Errorf("root trace_id arg %v", ev.Args["trace_id"])

@@ -186,8 +186,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			BlockX:          req.BlockX,
 		})
 	}
+	// Only unit-cache misses wait out the batch window; the span keeps
+	// its name on both paths so warm traces keep their shape.
 	bctx, bspan := obs.Start(ctx, "srv.batch")
-	res, err := s.batcher.submit(bctx, unit)
+	res, hit := s.cachedUnit(unit)
+	var err error
+	if !hit {
+		res, err = s.batcher.submit(bctx, unit)
+	}
+	bspan.SetAttr(obs.Bool("cache_hit", hit))
 	bspan.End()
 	if err != nil {
 		writeCtxError(ctx, w, err)

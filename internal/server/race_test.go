@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -192,6 +193,45 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 	if snap.BatchSizes.Count == 0 || snap.BatchSizes.Mean <= 1 {
 		t.Errorf("batch size histogram shows no coalescing: %+v", snap.BatchSizes)
+	}
+}
+
+// TestWarmPredictSkipsBatcher holds the batch window at a full second:
+// a cold predict goes through it once, and every repeat of the same
+// unit is served from the unit cache without opening another batch,
+// with the cold response's exact bytes and one cache hit each.
+func TestWarmPredictSkipsBatcher(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2, BatchWindow: time.Second})
+	const body = `{"model":"alexnet","gpus":["gtx1080ti","p100"]}`
+	code, cold := postJSON(t, ts.URL+"/v1/predict", body)
+	if code != http.StatusOK {
+		t.Fatalf("cold predict: status %d: %s", code, cold)
+	}
+	before := s.MetricsSnapshot()
+	if before.Batches != 1 {
+		t.Fatalf("cold predict ran %d batches, want 1", before.Batches)
+	}
+
+	const warm = 20
+	for i := 0; i < warm; i++ {
+		code, raw := postJSON(t, ts.URL+"/v1/predict", body)
+		if code != http.StatusOK {
+			t.Fatalf("warm predict %d: status %d: %s", i, code, raw)
+		}
+		if !bytes.Equal(raw, cold) {
+			t.Fatalf("warm predict %d differs from the cold response:\ncold: %s\nwarm: %s", i, cold, raw)
+		}
+	}
+
+	after := s.MetricsSnapshot()
+	if d := after.Batches - before.Batches; d != 0 {
+		t.Errorf("%d warm predicts ran %d batches, want 0", warm, d)
+	}
+	if d := after.Cache.Hits - before.Cache.Hits; d != warm {
+		t.Errorf("warm predicts counted %d cache hits, want %d", d, warm)
+	}
+	if d := after.Cache.Misses - before.Cache.Misses; d != 0 {
+		t.Errorf("warm predicts counted %d cache misses, want 0", d)
 	}
 }
 
