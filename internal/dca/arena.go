@@ -1,16 +1,13 @@
 package dca
 
-import "unsafe"
-
 // The compiled engine's transient execution state — register frames,
-// struct-of-arrays lane storage, batch worklists, visit counters — lives
-// in a caller-owned execArena instead of the garbage-collected heap.
-// AnalyzeProgram keeps one arena per program and resets (never frees) it
-// between kernel launches, so steady-state compiled execution performs
-// zero heap allocations after warm-up: each slab grows to its
-// high-water mark during the first pass over a workload and every later
-// take carves from the retained buffer. TestZeroAlloc pins the
-// property with testing.AllocsPerRun.
+// parameter buffers, visit counters — lives in a caller-owned execArena
+// instead of the garbage-collected heap. AnalyzeProgram keeps one arena
+// per program and resets (never frees) it between kernel launches, so
+// steady-state compiled execution performs zero heap allocations after
+// warm-up: each slab grows to its high-water mark during the first pass
+// over a workload and every later take carves from the retained buffer.
+// TestZeroAlloc pins the property with testing.AllocsPerRun.
 
 // slab is a bump allocator over one contiguous buffer of T. take
 // returns zeroed, capacity-clipped subslices; reset rewinds the bump
@@ -34,10 +31,10 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // takeRaw is take without the zeroing pass, for buffers whose every
-// read is gated by a separately-tracked written bit (register frames,
-// parameter values) or that are fully written before any read (lane
-// lists, key scratch, the batch worklist). Recycled garbage is then
-// unobservable and the clear is pure cost.
+// read is gated by a separately-tracked written bit (register frames)
+// or that are fully written before any read (parameter values and
+// their bound bits). Recycled garbage is then unobservable and the
+// clear is pure cost.
 func (s *slab[T]) takeRaw(n int) []T {
 	if n == 0 {
 		return nil
@@ -72,16 +69,12 @@ func (s *slab[T]) reset() {
 }
 
 // execArena owns every transient buffer of one execution context:
-// register frames and writtenness bits (single-lane and batched),
-// struct-of-arrays varying-slot lane arrays, per-batch uniform frames,
-// lane index lists, the batch worklist, and per-instruction visit
-// counters. One arena serves one goroutine; AnalyzeProgram resets it
-// between launches.
+// register frames and writtenness bits, parameter values, and
+// per-instruction visit counters. One arena serves one goroutine;
+// AnalyzeProgram resets it between launches.
 type execArena struct {
 	i64 slab[int64]
-	i32 slab[int32]
 	bit slab[bool]
-	bat slab[batch]
 }
 
 // newExecArena returns an empty arena. Slabs materialize on first use.
@@ -93,14 +86,11 @@ func newExecArena() *execArena {
 // arena's retained-bytes high-water mark to the metrics hook.
 func (a *execArena) reset() {
 	a.i64.reset()
-	a.i32.reset()
 	a.bit.reset()
-	a.bat.reset()
 	recordArenaBytes(a.bytes())
 }
 
 // bytes is the total retained buffer footprint of the arena.
 func (a *execArena) bytes() int64 {
-	return int64(len(a.i64.buf))*8 + int64(len(a.i32.buf))*4 +
-		int64(len(a.bit.buf)) + int64(len(a.bat.buf))*int64(unsafe.Sizeof(batch{}))
+	return int64(len(a.i64.buf))*8 + int64(len(a.bit.buf))
 }

@@ -1,7 +1,6 @@
 package dca
 
 import (
-	"fmt"
 	"testing"
 
 	"cnnperf/internal/ptx"
@@ -91,96 +90,26 @@ func BenchmarkExecuteThread(b *testing.B) {
 			}
 		}
 	})
+	// The compiled leg runs through the caller-owned arena exactly as
+	// AnalyzeProgram does, so -benchmem shows the production 0 allocs/op.
 	b.Run("compiled", func(b *testing.B) {
 		ck, err := Compile(k, slice, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ar := newExecArena()
+		if _, err := ck.execute(k, l.Params, ctx, nil, ar); err != nil {
+			b.Fatal(err)
+		}
+		ar.reset() // warm: the slabs reach their high-water mark
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ck.Execute(k, l.Params, ctx); err != nil {
+			if _, err := ck.execute(k, l.Params, ctx, nil, ar); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkBatchedExec measures the warp-style batched engine on the
-// heaviest resnet50v2 launch across lane populations, against a serial
-// baseline issuing the same threads through single-lane Execute calls.
-// Custom metrics report per-thread cost, aggregate thread throughput
-// and the realized batch occupancy (lanes per control-flow segment).
-// All subbenches reuse one warmed arena, so steady-state iterations
-// allocate nothing — the committed TestZeroAlloc pins that.
-func BenchmarkBatchedExec(b *testing.B) {
-	prog := compileZoo(b, "resnet50v2")
-	k, l := heaviestLaunch(b, prog)
-	slice := BuildControlSlice(k, BuildDepGraph(k))
-	ck, err := Compile(k, slice, ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkCtxs := func(lanes int) []ThreadCtx {
-		ctxs := make([]ThreadCtx, lanes)
-		for i := range ctxs {
-			ctxs[i] = ThreadCtx{
-				Tid:    int64(i % l.BlockX),
-				CtaID:  int64((i / l.BlockX) % l.GridX),
-				NTid:   int64(l.BlockX),
-				NCtaID: int64(l.GridX),
-			}
-		}
-		return ctxs
-	}
-	for _, lanes := range []int{1, 2, 8, 32, 256} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			ctxs := mkCtxs(lanes)
-			out := make([]LaneResult, lanes)
-			ar := newExecArena()
-			ck.executeBatch(k, l.Params, ctxs, nil, ar, out)
 			ar.reset()
-			for i := range out {
-				if out[i].Err != nil {
-					b.Fatal(out[i].Err)
-				}
-			}
-			before := BatchStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ck.executeBatch(k, l.Params, ctxs, nil, ar, out)
-				ar.reset()
-			}
-			b.StopTimer()
-			d := statsDelta(before, BatchStats())
-			threads := float64(b.N) * float64(lanes)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/threads, "ns/thread")
-			b.ReportMetric(threads/b.Elapsed().Seconds(), "threads/s")
-			if d.Segments > 0 {
-				b.ReportMetric(float64(d.LaneSegments)/float64(d.Segments), "lanes/segment")
-			}
-		})
-	}
-	// The serial baseline issues the same 32 threads one Execute call at
-	// a time: the unbatched aggregate throughput the batch is judged by.
-	b.Run("serial=32", func(b *testing.B) {
-		ctxs := mkCtxs(32)
-		ar := newExecArena()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, ctx := range ctxs {
-				if _, err := ck.execute(k, l.Params, ctx, nil, ar); err != nil {
-					b.Fatal(err)
-				}
-				ar.reset()
-			}
 		}
-		b.StopTimer()
-		threads := float64(b.N) * 32
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/threads, "ns/thread")
-		b.ReportMetric(threads/b.Elapsed().Seconds(), "threads/s")
 	})
 }
 

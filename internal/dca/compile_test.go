@@ -23,10 +23,10 @@ func parseOne(t *testing.T, body string) *ptx.Kernel {
 	return m.Kernels[0]
 }
 
-// bothEngines executes one thread on the reference interpreter, the
-// compiled bytecode and a one-lane batch, and requires identical counts
-// and identical error behavior (including the message) from all three.
-// It returns the reference result.
+// bothEngines executes one thread on the reference interpreter and the
+// compiled bytecode, and requires identical counts and identical error
+// behavior (including the message) from both. It returns the reference
+// result.
 func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, opts ExecOptions) (ExecResult, error) {
 	t.Helper()
 	g := BuildDepGraph(k)
@@ -37,26 +37,121 @@ func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx Threa
 		t.Fatalf("Compile: %v", cerr)
 	}
 	got, gerr := ck.Execute(k, params, ctx)
-	bout := ck.ExecuteBatch(k, params, []ThreadCtx{ctx})
-	for _, engine := range []struct {
-		name string
-		res  ExecResult
-		err  error
-	}{{"compiled", got, gerr}, {"batched", bout[0].Res, bout[0].Err}} {
-		if (werr == nil) != (engine.err == nil) {
-			t.Fatalf("engines disagree on error: reference=%v %s=%v", werr, engine.name, engine.err)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("engines disagree on error: reference=%v compiled=%v", werr, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("error text diverged:\nreference: %v\ncompiled:  %v", werr, gerr)
 		}
-		if werr != nil {
-			if werr.Error() != engine.err.Error() {
-				t.Fatalf("error text diverged:\nreference: %v\n%s: %v", werr, engine.name, engine.err)
-			}
-			continue
-		}
-		if engine.res != want {
-			t.Fatalf("counts diverged: reference=%+v %s=%+v", want, engine.name, engine.res)
-		}
+		return want, werr
+	}
+	if got != want {
+		t.Fatalf("counts diverged: reference=%+v compiled=%+v", want, got)
 	}
 	return want, werr
+}
+
+// divergenceKernels are kernel bodies whose threads part ways: uniform
+// fast paths, tid-dependent branches, per-thread faults, writtenness
+// that depends on the thread, tid-dependent closed-form trip counts,
+// and step-limit aborts inside loops.
+var divergenceKernels = []struct {
+	name     string
+	body     string
+	params   map[string]int64
+	full     bool
+	maxSteps int64
+}{
+	{
+		name: "uniform_loop",
+		body: "mov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, 50;\n@%p1 bra L;\nret;\n",
+	},
+	{
+		name: "tid_branch_diverges",
+		body: "mov.u32 %r1, %tid.x;\nsetp.lt.s32 %p1, %r1, 4;\n@%p1 bra A;\nmov.u32 %r2, 7;\nsetp.lt.s32 %p2, %r2, 99;\n@%p2 bra B;\nA:\nmov.u32 %r3, 2;\nsetp.lt.s32 %p3, %r3, 5;\n@%p3 bra B;\nB:\nret;\n",
+	},
+	{
+		name: "tid_trip_counts",
+		body: "mov.u32 %r2, %tid.x;\nmov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, %r2;\n@%p1 bra L;\nret;\n",
+	},
+	{
+		name: "ntid_bound_loop",
+		body: "mov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, %ntid.x;\n@%p1 bra L;\nret;\n",
+	},
+	{
+		name: "div_by_tid_faults_lane0",
+		body: "mov.u32 %r2, %tid.x;\ndiv.s32 %r1, 64, %r2;\nsetp.lt.s32 %p1, %r1, 100;\n@%p1 bra E;\nE:\nret;\n",
+	},
+	{
+		name: "guarded_write_then_read",
+		body: "mov.u32 %r1, %tid.x;\nsetp.lt.s32 %p1, %r1, 8;\n@%p1 mov.u32 %r2, 5;\nsetp.lt.s32 %p2, %r2, 9;\n@%p2 bra E;\nE:\nret;\n",
+	},
+	{
+		name: "predicated_exit_varying_guard",
+		body: "mov.u32 %r1, %tid.x;\nsetp.lt.s32 %p1, %r1, 4;\n@%p1 ret;\nmov.u32 %r3, 1;\nsetp.lt.s32 %p3, %r3, 2;\n@%p3 bra E;\nE:\nret;\n",
+	},
+	{
+		name:     "step_limit_mixed",
+		body:     "mov.u32 %r2, %tid.x;\nmul.lo.s32 %r3, %r2, 100;\nmov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, %r3;\n@%p1 bra L;\nret;\n",
+		maxSteps: 900,
+	},
+	{
+		name:   "param_bound_uniform",
+		body:   "ld.param.u64 %rd1, [p0];\nmov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, %rd1;\n@%p1 bra L;\nret;\n",
+		params: map[string]int64{"p0": 37},
+	},
+	{
+		name: "ctaid_tid_product_path",
+		body: "mov.u32 %r1, %ctaid.x;\nmov.u32 %r2, %ntid.x;\nmul.lo.s32 %r3, %r1, %r2;\nmov.u32 %r4, %tid.x;\nadd.s32 %r5, %r3, %r4;\nsetp.lt.s32 %p1, %r5, 40;\n@%p1 bra E;\nmov.u32 %r6, 1;\nE:\nret;\n",
+	},
+	{
+		name: "full_mode_data_loop",
+		body: "mov.u32 %r9, %tid.x;\nmov.u32 %r1, 0;\nmov.f32 %f1, 0f00000000;\nmov.u64 %rd2, 64;\nL:\nld.global.f32 %f2, [%rd2];\nfma.rn.f32 %f1, %f2, %f2, %f1;\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, 20;\n@%p1 bra L;\nret;\n",
+		full: true,
+	},
+	{
+		name: "ne_exit_iterated_tid",
+		body: "mov.u32 %r2, %tid.x;\nadd.s32 %r2, %r2, 4;\nmov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.ne.s32 %p1, %r1, %r2;\n@%p1 bra L;\nret;\n",
+	},
+}
+
+// ctxRange builds one thread context per tid in [lo, hi) under the
+// given block and grid shape.
+func ctxRange(lo, hi, ntid, nctaid int64) []ThreadCtx {
+	var out []ThreadCtx
+	for tid := lo; tid < hi; tid++ {
+		out = append(out, ThreadCtx{Tid: tid, CtaID: tid % nctaid, NTid: ntid, NCtaID: nctaid})
+	}
+	return out
+}
+
+// TestBatchedDivergenceKernels sweeps the divergence corpus over
+// batches of thread contexts, from degenerate (one lane, identical
+// lanes) to warp-sized mixes of blocks and block shapes. Every lane
+// runs through bothEngines: the compiled engine must reproduce the
+// reference's counts and error text thread for thread.
+func TestBatchedDivergenceKernels(t *testing.T) {
+	laneSets := map[string][]ThreadCtx{
+		"one_lane":  {{Tid: 3, CtaID: 1, NTid: 32, NCtaID: 2}},
+		"all_same":  {{Tid: 5, NTid: 16, NCtaID: 1}, {Tid: 5, NTid: 16, NCtaID: 1}, {Tid: 5, NTid: 16, NCtaID: 1}},
+		"tid_range": ctxRange(0, 16, 32, 2),
+		"mixed_shapes": append(append(ctxRange(0, 8, 32, 2), ctxRange(0, 8, 64, 4)...),
+			ThreadCtx{Tid: 63, CtaID: 3, NTid: 64, NCtaID: 4}),
+	}
+	for _, tc := range divergenceKernels {
+		t.Run(tc.name, func(t *testing.T) {
+			k := parseOne(t, tc.body)
+			opts := ExecOptions{Full: tc.full, MaxSteps: tc.maxSteps}
+			for setName, ctxs := range laneSets {
+				t.Run(setName, func(t *testing.T) {
+					for _, ctx := range ctxs {
+						bothEngines(t, k, tc.params, ctx, opts)
+					}
+				})
+			}
+		})
+	}
 }
 
 // hasClosedForm reports whether the compiled kernel registered at least
@@ -318,11 +413,11 @@ func stripTime(r *Report) *Report {
 }
 
 // TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate:
-// with the compiler enabled — batched or unbatched — AnalyzeProgram must
-// reproduce the reference interpreter's reports byte for byte on every
-// CNN, with the analysis cache on and off. Byte-for-byte is literal:
-// beyond DeepEqual, every KernelReport must serialize to identical
-// bytes across engines. -short runs a 4-model subset.
+// with the compiler enabled, AnalyzeProgram must reproduce the
+// reference interpreter's reports byte for byte on every CNN, with the
+// analysis cache on and off. Byte-for-byte is literal: beyond
+// DeepEqual, every KernelReport must serialize to identical bytes
+// across engines. -short runs a 4-model subset.
 func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 	models := zoo.TableIOrder
 	if testing.Short() {
@@ -341,10 +436,8 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"batched", Options{BlockCounts: true}},
-			{"unbatched", Options{Exec: ExecOptions{Unbatched: true}, BlockCounts: true}},
-			{"batched+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
-			{"unbatched+cache", Options{Exec: ExecOptions{Unbatched: true}, Cache: analysiscache.New(0), BlockCounts: true}},
+			{"compiled", Options{BlockCounts: true}},
+			{"compiled+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
 		}
 		for _, eng := range engines {
 			got, err := AnalyzeProgram(prog, eng.opts)

@@ -138,6 +138,7 @@ func AnalyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options) (KernelRe
 // compiled bytecode. AnalyzeProgram prepares one per distinct kernel so
 // repeated launches do not rebuild them.
 type kernelProgram struct {
+	cfg   *CFG // block structure for collapsing visit profiles
 	g     *DepGraph
 	slice *ControlSlice
 	ck    *CompiledKernel // nil: run the reference interpreter
@@ -149,7 +150,8 @@ type kernelProgram struct {
 // prepareKernel builds the launch-independent analysis artifacts.
 func prepareKernel(k *ptx.Kernel, opts Options) *kernelProgram {
 	kp := &kernelProgram{}
-	if _, err := BuildCFG(k); err != nil {
+	var err error
+	if kp.cfg, err = BuildCFG(k); err != nil {
 		kp.cfgErr = err
 		return kp
 	}
@@ -228,15 +230,6 @@ func launchKey(k *ptx.Kernel, l ptxgen.Launch, opts Options) string {
 		params.String())
 }
 
-// batchLayoutVersion versions the in-memory compiled-program memo key:
-// CompiledKernel instances are shared through the analysis cache, and a
-// process mixing binaries (or a cache warmed by an older layout pass)
-// must never hand bytecode without batch-layout metadata to the batched
-// engine. Version 2 introduced the uniform/varying slot layout. The
-// persistent serialization format is unversioned by this constant — the
-// decoder recomputes the layout from the bytecode.
-const batchLayoutVersion = 2
-
 // compiledKernel returns the bytecode form of the kernel's control
 // slice, memoized by kernel content and the executor knobs baked into
 // the compiled program. A nil return means the kernel cannot be
@@ -250,7 +243,7 @@ func compiledKernel(k *ptx.Kernel, slice *ControlSlice, opts Options) *CompiledK
 		return ck
 	}
 	key := analysiscache.KernelKey("dcac", k,
-		fmt.Sprintf("full=%t;maxsteps=%d;layout=%d", opts.Exec.Full, opts.Exec.effectiveMaxSteps(), batchLayoutVersion))
+		fmt.Sprintf("full=%t;maxsteps=%d", opts.Exec.Full, opts.Exec.effectiveMaxSteps()))
 	v, _, err := opts.Cache.GetOrCompute(key, func() (any, error) {
 		return Compile(k, slice, opts.Exec)
 	})
@@ -321,51 +314,28 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 	inCtx := ThreadCtx{CtaID: 0, Tid: 0, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
 	oobCtx := ThreadCtx{CtaID: int64(l.GridX) - 1, Tid: int64(l.BlockX) - 1, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
 
-	// Engine selection: the batched compiled engine is the default — the
-	// in-bounds and out-of-bounds representatives run as one two-lane
-	// batch, sharing every uniform computation. opts.Exec.Unbatched runs
-	// the compiled engine one lane at a time; opts.Exec.Reference (or a
-	// compiler bailout) runs the reference tree-walking interpreter. All
-	// three produce identical results — the differential fuzz target and
-	// the zoo-wide equivalence tests enforce it.
-	var inRes, oobRes ExecResult
-	var inErr, oobErr error
-	if kp.ck != nil && !opts.Exec.Unbatched {
-		var ctxs [2]ThreadCtx
-		var outs [2]LaneResult
-		var vis [2][]int64
-		ctxs[0], ctxs[1] = inCtx, oobCtx
-		vis[0], vis[1] = inVisits, oobVisits
-		nl := 1
-		if runOob {
-			nl = 2
+	// Engine selection: the compiled engine runs both representatives on
+	// the caller's arena; opts.Exec.Reference (or a compiler bailout)
+	// runs the reference tree-walking interpreter. Both produce identical
+	// results — the differential fuzz target and the zoo-wide
+	// equivalence tests enforce it.
+	exec := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
+		if kp.ck != nil {
+			return kp.ck.execute(k, l.Params, tc, visits, ar)
 		}
-		if wantVisits {
-			kp.ck.executeBatch(k, l.Params, ctxs[:nl], vis[:nl], ar, outs[:nl])
-		} else {
-			kp.ck.executeBatch(k, l.Params, ctxs[:nl], nil, ar, outs[:nl])
-		}
-		inRes, inErr = outs[0].Res, outs[0].Err
-		if nl == 2 {
-			oobRes, oobErr = outs[1].Res, outs[1].Err
-		}
-	} else {
-		exec := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
-			if kp.ck != nil {
-				return kp.ck.execute(k, l.Params, tc, visits, ar)
+		res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
+		if err == nil && visits != nil {
+			if _, verr := vck.execute(k, l.Params, tc, visits, ar); verr != nil {
+				visitsOK = false
 			}
-			res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
-			if err == nil && visits != nil {
-				if _, verr := vck.execute(k, l.Params, tc, visits, ar); verr != nil {
-					visitsOK = false
-				}
-			}
-			return res, err
 		}
-		inRes, inErr = exec(inCtx, inVisits)
-		if inErr == nil && runOob {
-			oobRes, oobErr = exec(oobCtx, oobVisits)
-		}
+		return res, err
+	}
+	inRes, inErr := exec(inCtx, inVisits)
+	var oobRes ExecResult
+	var oobErr error
+	if inErr == nil && runOob {
+		oobRes, oobErr = exec(oobCtx, oobVisits)
 	}
 	if inErr != nil {
 		return rep, fmt.Errorf("dca: kernel %s: %w", k.Name, inErr)
@@ -402,15 +372,13 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 		// Collapse the per-instruction profile to per-block launch
 		// totals: a block's visit count is its first instruction's (an
 		// early thread exit can starve a block's tail, never its head).
-		if g, cerr := BuildCFG(k); cerr == nil {
-			rep.BlockVisits = make([]int64, len(g.Blocks))
-			for bi, b := range g.Blocks {
-				v := active * inVisits[b.Start]
-				if oobVisits != nil {
-					v += oob * oobVisits[b.Start]
-				}
-				rep.BlockVisits[bi] = v
+		rep.BlockVisits = make([]int64, len(kp.cfg.Blocks))
+		for bi, b := range kp.cfg.Blocks {
+			v := active * inVisits[b.Start]
+			if oobVisits != nil {
+				v += oob * oobVisits[b.Start]
 			}
+			rep.BlockVisits[bi] = v
 		}
 	}
 	return rep, nil

@@ -66,11 +66,6 @@ type ExecOptions struct {
 	// by construction (and by the differential tests); the flag exists
 	// for differential testing and as an escape hatch.
 	Reference bool
-	// Unbatched forces the compiled engine to execute representative
-	// threads one at a time instead of as a warp-style batch. Results
-	// are identical either way (the zoo-wide equivalence tests enforce
-	// it); the flag exists for differential testing and benchmarking.
-	Unbatched bool
 }
 
 // effectiveMaxSteps resolves the MaxSteps default shared by both

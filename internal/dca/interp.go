@@ -19,7 +19,7 @@ func (c *CompiledKernel) Execute(k *ptx.Kernel, params map[string]int64, ctx Thr
 	return c.execute(k, params, ctx, nil, nil)
 }
 
-// evalRef resolves one operand reference against a single-lane frame;
+// evalRef resolves one operand reference against the thread's frame;
 // ok=false routes to evalErr for message construction off the hot path.
 // A plain function (not a closure) so the steady-state loop captures
 // nothing on the heap.

@@ -1,61 +1,29 @@
 package dca
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"cnnperf/internal/obs"
-)
-
-// The batched engine publishes lock-free process-wide counters so the
-// serving daemon can expose allocation and batch-occupancy telemetry
-// without dca importing the server (the same process-wide hook pattern
-// as ptxanalysis.RegisterMetrics). Recording is a handful of atomic
-// adds per batched execution — never per instruction.
+// The execution arenas publish lock-free process-wide counters so the
+// serving daemon can expose allocation telemetry without dca importing
+// the server. Recording is one atomic operation per slab growth or
+// arena reset — never per instruction.
 
 var (
-	batchCalls    atomic.Int64 // executeBatch invocations
-	batchLanes    atomic.Int64 // lanes (threads) across all invocations
-	batchSegments atomic.Int64 // control-flow segments (batches) run
-	batchLaneSegs atomic.Int64 // lane·segment products: occupancy numerator
-	batchSplits   atomic.Int64 // divergence splits (branch or loop-key)
-	arenaGrows    atomic.Int64 // slab growths (warm-up and high-water bumps)
-	arenaBytes    atomic.Int64 // high-water retained arena footprint, bytes
+	arenaGrows atomic.Int64 // slab growths (warm-up and high-water bumps)
+	arenaBytes atomic.Int64 // high-water retained arena footprint, bytes
 )
 
-// BatchExecStats is a snapshot of the batched-execution counters.
-type BatchExecStats struct {
-	// Calls counts batched executions (one per analyzed launch pair or
-	// ExecuteBatch call).
-	Calls int64
-	// Lanes counts the threads those calls carried.
-	Lanes int64
-	// Segments counts the control-flow segments actually run: a batch
-	// that never diverges is one segment; every split adds one.
-	Segments int64
-	// LaneSegments sums lanes over segments; LaneSegments/Segments is
-	// the mean batch occupancy.
-	LaneSegments int64
-	// Splits counts divergence events (branch partitions and unequal
-	// closed-form loop keys).
-	Splits int64
-	// ArenaGrows counts slab growths across all arenas — zero growth
-	// between two snapshots proves an allocation-free steady state.
-	ArenaGrows int64
-	// ArenaBytes is the largest retained arena footprint seen.
-	ArenaBytes int64
+// ArenaCounters is a snapshot of the execution-arena counters.
+type ArenaCounters struct {
+	// Grows counts slab growths across all arenas — zero growth between
+	// two snapshots proves an allocation-free steady state.
+	Grows int64
+	// Bytes is the largest retained arena footprint seen.
+	Bytes int64
 }
 
-// BatchStats snapshots the process-wide batched-execution counters.
-func BatchStats() BatchExecStats {
-	return BatchExecStats{
-		Calls:        batchCalls.Load(),
-		Lanes:        batchLanes.Load(),
-		Segments:     batchSegments.Load(),
-		LaneSegments: batchLaneSegs.Load(),
-		Splits:       batchSplits.Load(),
-		ArenaGrows:   arenaGrows.Load(),
-		ArenaBytes:   arenaBytes.Load(),
-	}
+// ArenaStats snapshots the process-wide execution-arena counters.
+func ArenaStats() ArenaCounters {
+	return ArenaCounters{Grows: arenaGrows.Load(), Bytes: arenaBytes.Load()}
 }
 
 // recordArenaBytes raises the high-water retained-bytes mark.
@@ -65,30 +33,5 @@ func recordArenaBytes(n int64) {
 		if n <= cur || arenaBytes.CompareAndSwap(cur, n) {
 			return
 		}
-	}
-}
-
-// batchLaneBuckets grade batched executions by lane count: the analysis
-// path runs two representative threads; benchmarks and future bulk
-// callers run warp-sized batches.
-var batchLaneBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-var batchLaneHist atomic.Pointer[obs.Histogram]
-
-// RegisterMetrics installs the package's instruments into the given
-// registry. Call once at process startup (the serving daemon does);
-// later calls swap the target registry.
-func RegisterMetrics(reg *obs.Registry) {
-	batchLaneHist.Store(reg.Histogram("cnnperfd_dca_batch_lanes",
-		"Threads per batched compiled execution.", batchLaneBuckets))
-}
-
-// observeBatch records one batched execution when a metrics registry is
-// wired in.
-func observeBatch(lanes int) {
-	batchCalls.Add(1)
-	batchLanes.Add(int64(lanes))
-	if h := batchLaneHist.Load(); h != nil {
-		h.Observe(float64(lanes))
 	}
 }

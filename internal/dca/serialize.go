@@ -311,8 +311,5 @@ func UnmarshalCompiledKernel(b []byte) (*CompiledKernel, error) {
 		copy(al.hist[:], lj.Hist)
 		c.loops[pc] = al
 	}
-	// The batch layout is derived state, never serialized: recompute it
-	// so decoded bytecode is executable by the batched engine.
-	c.computeLayout()
 	return c, nil
 }

@@ -75,6 +75,35 @@ func TestCompiledKernelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchedSerializedKernel decodes every divergence kernel's
+// compiled form from its wire bytes and executes a batch of threads on
+// both: the decoded bytecode must agree with the original thread for
+// thread, including the error decision and text.
+func TestBatchedSerializedKernel(t *testing.T) {
+	for _, tc := range divergenceKernels {
+		k := parseOne(t, tc.body)
+		ck := compileFor(t, k, ExecOptions{Full: tc.full, MaxSteps: tc.maxSteps})
+		blob, err := MarshalCompiledKernel(ck)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", tc.name, err)
+		}
+		back, err := UnmarshalCompiledKernel(blob)
+		if err != nil {
+			t.Fatalf("%s: unmarshal: %v", tc.name, err)
+		}
+		for i, ctx := range ctxRange(0, 8, 32, 2) {
+			want, werr := ck.Execute(k, tc.params, ctx)
+			got, gerr := back.Execute(k, tc.params, ctx)
+			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+				t.Fatalf("%s lane %d: decoded kernel error diverged: %v vs %v", tc.name, i, werr, gerr)
+			}
+			if werr == nil && got != want {
+				t.Fatalf("%s lane %d: decoded kernel diverged: %+v vs %+v", tc.name, i, want, got)
+			}
+		}
+	}
+}
+
 func TestKernelReportRoundTrip(t *testing.T) {
 	k := parseOne(t, serializeKernels[1].body)
 	l := ptxgen.Launch{Kernel: "k", GridX: 4, BlockX: 64, Threads: 200,

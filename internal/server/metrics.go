@@ -107,27 +107,14 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 	// Analysis-side instruments (the absint fixpoint-iterations
 	// histogram) publish through the same registry.
 	ptxanalysis.RegisterMetrics(reg)
-	// The batched dca engine keeps its own lock-free counters (it runs
-	// on analysis hot paths); bridge them in like the cache and pool.
-	dca.RegisterMetrics(reg)
-	reg.CounterFunc("cnnperfd_dca_batches_total",
-		"Warp-style batched executions issued by the dca engine.",
-		func() float64 { return float64(dca.BatchStats().Calls) })
-	reg.CounterFunc("cnnperfd_dca_batch_lanes_total",
-		"Representative threads executed through the batched engine.",
-		func() float64 { return float64(dca.BatchStats().Lanes) })
-	reg.CounterFunc("cnnperfd_dca_batch_segments_total",
-		"Control-flow segments executed across all batches.",
-		func() float64 { return float64(dca.BatchStats().Segments) })
-	reg.CounterFunc("cnnperfd_dca_batch_splits_total",
-		"Batch splits forced by divergent branches or loop trip counts.",
-		func() float64 { return float64(dca.BatchStats().Splits) })
+	// The dca execution arenas keep their own lock-free counters (they
+	// run on analysis hot paths); bridge them in like the cache and pool.
 	reg.CounterFunc("cnnperfd_dca_arena_grows_total",
 		"Execution arena slab growths (zero once steady state is reached).",
-		func() float64 { return float64(dca.BatchStats().ArenaGrows) })
+		func() float64 { return float64(dca.ArenaStats().Grows) })
 	reg.GaugeFunc("cnnperfd_dca_arena_bytes",
 		"High-water retained footprint of the largest execution arena.",
-		func() float64 { return float64(dca.BatchStats().ArenaBytes) })
+		func() float64 { return float64(dca.ArenaStats().Bytes) })
 	return m
 }
 
